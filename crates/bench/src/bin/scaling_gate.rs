@@ -87,13 +87,8 @@ const PUBLISH_PAR_RATIO: f64 = 0.60;
 /// FNV-1a over the canonical segment encoding of a release: one u64
 /// that changes if any masked cell, row order or schema bit changes.
 fn release_fingerprint(release: &tdf_sdc::EpochRelease) -> Vec<u64> {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in tdf_microdata::segio::encode_segment(&release.data) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_0000_01B3);
-    }
     vec![
-        h,
+        rngkit::fnv1a(&tdf_microdata::segio::encode_segment(&release.data)),
         release.reclustered as u64,
         release.data.num_rows() as u64,
     ]

@@ -91,16 +91,6 @@ impl Config {
     }
 }
 
-/// FNV-1a over the test name: a stable per-test base seed.
-fn name_seed(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 fn env_seed() -> u64 {
     std::env::var("TDF_CHECK_SEED")
         .ok()
@@ -116,7 +106,8 @@ where
     S: Strategy,
     F: Fn(S::Value) -> CaseResult,
 {
-    let seed = name_seed(name) ^ env_seed();
+    // Per-test base seed: the FNV-1a hash of the test name.
+    let seed = rngkit::fnv1a(name.as_bytes()) ^ env_seed();
     let mut rng = StdRng::seed_from_u64(seed);
     let cases = cfg.effective_cases();
     let mut rejects = 0u32;

@@ -123,5 +123,5 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// their stored representation is identical; this is the equality the
 /// crash-matrix all-or-nothing assertions are stated in.
 pub fn fingerprint(data: &Dataset) -> u64 {
-    segio::fnv1a(&segio::encode_segment(data))
+    rngkit::fnv1a(&segio::encode_segment(data))
 }

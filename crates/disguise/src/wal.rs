@@ -37,7 +37,6 @@ use crate::{Error, Result};
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use tdf_microdata::segio::fnv1a;
 use tdf_microdata::Value;
 
 const MAGIC: &[u8; 8] = b"TDFWAL1\0";
@@ -184,7 +183,7 @@ impl TxnRecord {
         let mut out = Vec::with_capacity(body.len() + 12);
         out.extend_from_slice(&(body.len() as u32).to_le_bytes());
         out.extend_from_slice(&body);
-        out.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        out.extend_from_slice(&rngkit::fnv1a(&body).to_le_bytes());
         out
     }
 
@@ -247,7 +246,7 @@ fn parse_entries(bytes: &[u8]) -> (Vec<TxnRecord>, usize, bool) {
         }
         let body = &rem[4..4 + len];
         let stored = u64::from_le_bytes(rem[4 + len..4 + len + 8].try_into().unwrap());
-        if fnv1a(body) != stored {
+        if rngkit::fnv1a(body) != stored {
             return (records, pos, false);
         }
         match TxnRecord::decode_body(body) {

@@ -60,38 +60,19 @@ impl fmt::Display for PlanParseError {
 
 impl std::error::Error for PlanParseError {}
 
-mod hash {
-    /// FNV-1a over a byte string — keys a site's draw stream.
-    pub fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
-    }
-
-    /// splitmix64 finalizer: one well-mixed word per distinct input.
-    pub fn splitmix64(x: u64) -> u64 {
-        let mut z = x.wrapping_add(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)` for draw `n` of the site stream `site_hash`
-    /// under `seed` — the entire firing decision is this pure function.
-    pub fn unit(seed: u64, site_hash: u64, n: u64) -> f64 {
-        let word = splitmix64(seed ^ site_hash ^ n.wrapping_mul(0xA24BAED4963EE407));
-        (word >> 11) as f64 / (1u64 << 53) as f64
-    }
+/// Uniform in `[0, 1)` for draw `n` of the site stream `site_hash`
+/// under `seed` — the entire firing decision is this pure function.
+fn unit(seed: u64, site_hash: u64, n: u64) -> f64 {
+    let mut state = seed ^ site_hash ^ n.wrapping_mul(0xA24BAED4963EE407);
+    let word = rngkit::splitmix64(&mut state);
+    (word >> 11) as f64 / (1u64 << 53) as f64
 }
 
 // The plan type and parser keep their real shape under `noop` so tests
 // and tools that *construct* plans compile either way; only the global
 // query path is compiled out.
 mod plan {
-    use super::{hash, PlanParseError};
+    use super::PlanParseError;
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -165,7 +146,7 @@ mod plan {
                     Site {
                         value,
                         rate,
-                        hash: hash::fnv1a(site.as_bytes()),
+                        hash: rngkit::fnv1a(site.as_bytes()),
                         draws: AtomicU64::new(0),
                         fired: AtomicU64::new(0),
                     },
@@ -202,7 +183,7 @@ mod plan {
             if s.rate <= 0.0 {
                 return None;
             }
-            if s.rate < 1.0 && hash::unit(self.seed, s.hash, n) >= s.rate {
+            if s.rate < 1.0 && super::unit(self.seed, s.hash, n) >= s.rate {
                 return None;
             }
             Some(s)

@@ -43,17 +43,6 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"TDFSEG1\0";
 
-/// FNV-1a (64-bit) over `bytes` — the trailer checksum. Public so sibling
-/// framed formats (the disguise journal) share one checksum definition.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn kind_tag(kind: AttributeKind) -> u8 {
     match kind {
         AttributeKind::Continuous => 0,
@@ -163,7 +152,7 @@ pub fn encode_segment(data: &Dataset) -> Vec<u8> {
             }
         }
     }
-    let sum = fnv1a(&out);
+    let sum = rngkit::fnv1a(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -220,7 +209,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Dataset> {
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-    if fnv1a(body) != stored {
+    if rngkit::fnv1a(body) != stored {
         return Err(Error::Serial("segment checksum mismatch".into()));
     }
     let mut cur = Cursor {

@@ -55,12 +55,7 @@ pub const TAG_BYTES: usize = 8;
 /// Keying by index means a byzantine server cannot substitute one valid
 /// record (with its valid tag) for another.
 fn record_tag(index: usize, payload: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in (index as u64).to_le_bytes().iter().chain(payload) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    rngkit::fnv1a_extend(rngkit::fnv1a(&(index as u64).to_le_bytes()), payload)
 }
 
 /// A replicated database paired with a parallel table of per-record

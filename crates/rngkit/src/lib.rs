@@ -32,6 +32,27 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a (64-bit) offset basis: the hash of the empty input.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a (64-bit) over `bytes` — the workspace's one checksum and
+/// name-hash definition (segment spills, the disguise journal, PIR
+/// record tags, SMC transcripts, fault-plan sites, property-test seeds).
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a hash `h` over more `bytes`, so a checksum over
+/// several fields needs no concatenated buffer:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(&[a, b].concat())`.
+#[inline]
+pub fn fnv1a_extend(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Construction of a generator from a 64-bit seed.
 ///
 /// Mirrors the `rand::SeedableRng::seed_from_u64` entry point so that
@@ -297,6 +318,15 @@ mod tests {
         assert_eq!(r.next_u64(), 41943041);
         assert_eq!(r.next_u64(), 58720359);
         assert_eq!(r.next_u64(), 3588806011781223);
+    }
+
+    #[test]
+    fn fnv1a_reference_vectors_and_extension() {
+        // Published FNV-1a 64-bit test vectors (Fowler/Noll/Vo).
+        assert_eq!(fnv1a(b""), FNV_OFFSET);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_extend(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 
     #[test]

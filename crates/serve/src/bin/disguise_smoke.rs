@@ -11,30 +11,13 @@
 //! round-robin, refusal messages are typed, and the script is a single
 //! connection, so there is no scheduling in the transcript.
 
-use tdf_serve::{Client, Response, ServerConfig, SessionConfig};
+use tdf_serve::{Client, ServerConfig, SessionConfig};
 
 fn seed_from_env() -> u64 {
     std::env::var("TDF_SEED")
         .ok()
         .and_then(|v| v.trim().parse::<u64>().ok())
         .unwrap_or(0x7DF)
-}
-
-fn show(response: &Response) -> String {
-    match response {
-        Response::Exact(v) => format!("exact {v:.6}"),
-        Response::Perturbed(v) => format!("perturbed {v:.6}"),
-        Response::Interval(lo, hi) => format!("interval [{lo:.6}, {hi:.6}]"),
-        Response::Refused { reason, message } => {
-            format!("refused[{}] {message}", reason.label())
-        }
-        Response::Error(message) => format!("error {message}"),
-        Response::Record(bytes) => {
-            let hex: String = bytes.iter().take(8).map(|b| format!("{b:02x}")).collect();
-            format!("record {} bytes {hex}..", bytes.len())
-        }
-        Response::Bye => "bye".to_owned(),
-    }
 }
 
 fn main() {
@@ -62,30 +45,30 @@ fn main() {
     // 400 ledger rows round-robined over 8 owners: 50 rows each. User 5
     // unsubscribes; the answer is the number of rows re-owned by ghosts.
     let disguised = client.disguise(5).expect("disguise round-trips");
-    println!("u5 disguise -> {}", show(&disguised));
+    println!("u5 disguise -> {disguised}");
 
     // The wrong-state requests are typed policy refusals, not errors.
     let twice = client.disguise(5).expect("disguise round-trips");
-    println!("u5 disguise again -> {}", show(&twice));
+    println!("u5 disguise again -> {twice}");
     let unknown = client.disguise(9000).expect("disguise round-trips");
-    println!("u9000 disguise -> {}", show(&unknown));
+    println!("u9000 disguise -> {unknown}");
     let phantom = client.restore(6).expect("restore round-trips");
-    println!("u6 restore -> {}", show(&phantom));
+    println!("u6 restore -> {phantom}");
 
     // Queries keep flowing on the same connection while user 5 is out.
     let answered = client
         .query(2, "SELECT COUNT(*) FROM t WHERE weight < 78")
         .expect("query round-trips");
-    println!("u2 query -> {}", show(&answered));
+    println!("u2 query -> {answered}");
 
     // Resubscribe: the same 50 rows come back, exactly once.
     let restored = client.restore(5).expect("restore round-trips");
-    println!("u5 restore -> {}", show(&restored));
+    println!("u5 restore -> {restored}");
     let again = client.restore(5).expect("restore round-trips");
-    println!("u5 restore again -> {}", show(&again));
+    println!("u5 restore again -> {again}");
 
     let farewell = client.bye(5).expect("bye round-trips");
-    println!("u5 bye -> {}", show(&farewell));
+    println!("u5 bye -> {farewell}");
 
     server.shutdown();
     println!("shutdown complete");

@@ -9,30 +9,13 @@
 //! the seed: noise streams are seeded per user and the script is a
 //! single connection, so there is no scheduling in the transcript.
 
-use tdf_serve::{Client, Response, ServerConfig, SessionConfig};
+use tdf_serve::{Client, ServerConfig, SessionConfig};
 
 fn seed_from_env() -> u64 {
     std::env::var("TDF_SEED")
         .ok()
         .and_then(|v| v.trim().parse::<u64>().ok())
         .unwrap_or(0x7DF)
-}
-
-fn show(response: &Response) -> String {
-    match response {
-        Response::Exact(v) => format!("exact {v:.6}"),
-        Response::Perturbed(v) => format!("perturbed {v:.6}"),
-        Response::Interval(lo, hi) => format!("interval [{lo:.6}, {hi:.6}]"),
-        Response::Refused { reason, message } => {
-            format!("refused[{}] {message}", reason.label())
-        }
-        Response::Error(message) => format!("error {message}"),
-        Response::Record(bytes) => {
-            let hex: String = bytes.iter().take(8).map(|b| format!("{b:02x}")).collect();
-            format!("record {} bytes {hex}..", bytes.len())
-        }
-        Response::Bye => "bye".to_owned(),
-    }
 }
 
 fn main() {
@@ -67,7 +50,7 @@ fn main() {
     ];
     for (i, sql) in budget_script.iter().enumerate() {
         let response = client.query(1, sql).expect("query round-trips");
-        println!("u1 q{} {sql} -> {}", i + 1, show(&response));
+        println!("u1 q{} {sql} -> {response}", i + 1);
     }
 
     // User 2 walks into the tracker defence: two nearly identical query
@@ -78,18 +61,18 @@ fn main() {
     ];
     for (i, sql) in tracker_script.iter().enumerate() {
         let response = client.query(2, sql).expect("query round-trips");
-        println!("u2 q{} {sql} -> {}", i + 1, show(&response));
+        println!("u2 q{} {sql} -> {response}", i + 1);
     }
 
     // User 3 fetches a PIR record (seed-deterministic contents) and then
     // asks for one past the end of the store.
     let fetched = client.pir_fetch(3, 7).expect("fetch round-trips");
-    println!("u3 fetch 7 -> {}", show(&fetched));
+    println!("u3 fetch 7 -> {fetched}");
     let ranged = client.pir_fetch(3, 1 << 40).expect("fetch round-trips");
-    println!("u3 fetch 2^40 -> {}", show(&ranged));
+    println!("u3 fetch 2^40 -> {ranged}");
 
     let farewell = client.bye(1).expect("bye round-trips");
-    println!("u1 bye -> {}", show(&farewell));
+    println!("u1 bye -> {farewell}");
 
     server.shutdown();
     println!("shutdown complete");

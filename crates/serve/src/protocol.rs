@@ -27,11 +27,33 @@
 //!             tag 6 = RECORD     body = len:u32 bytes:[u8; len]
 //! ```
 
+use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Requests larger than this are rejected before the payload is read, so
 /// a hostile length prefix cannot make the server allocate unboundedly.
 pub const MAX_PAYLOAD: u32 = 64 * 1024;
+
+/// Bytes in the fixed request header `opcode:u8 user_id:u64 len:u32`.
+const REQUEST_HEADER: usize = 13;
+
+/// The request opcodes of the wire format (see the module docs).
+pub(crate) mod opcode {
+    /// One mini-SQL query; the payload is its UTF-8 text.
+    pub const QUERY: u8 = 1;
+    /// End of session; no payload.
+    pub const BYE: u8 = 2;
+    /// One PIR record fetch; the payload is `index:u64`.
+    pub const PIR_FETCH: u8 = 3;
+    /// Grow the mutable tail; the payload is `count:u32`.
+    pub const APPEND: u8 = 4;
+    /// Freeze the mutable tail; no payload.
+    pub const SEAL: u8 = 5;
+    /// Unsubscribe the user; no payload.
+    pub const DISGUISE: u8 = 6;
+    /// Resubscribe the user; no payload.
+    pub const RESTORE: u8 = 7;
+}
 
 /// A client-to-server frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,6 +106,21 @@ pub enum Request {
     },
 }
 
+impl Request {
+    /// The frame's wire opcode (one of the [`opcode`] constants).
+    pub(crate) fn opcode(&self) -> u8 {
+        match self {
+            Request::Query { .. } => opcode::QUERY,
+            Request::Bye { .. } => opcode::BYE,
+            Request::PirFetch { .. } => opcode::PIR_FETCH,
+            Request::Append { .. } => opcode::APPEND,
+            Request::Seal { .. } => opcode::SEAL,
+            Request::Disguise { .. } => opcode::DISGUISE,
+            Request::Restore { .. } => opcode::RESTORE,
+        }
+    }
+}
+
 /// Why a query was refused, as a wire-stable code. The human-readable
 /// message travels alongside; the code is what counters and tests key on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,16 +153,22 @@ impl RefusalReason {
         })
     }
 
-    /// The counter-name suffix used by the server's obs metrics.
-    pub fn label(self) -> &'static str {
+    /// The `serve.refused.<label>` counter the server bumps for this
+    /// reason: a static name, so a refusal formats nothing.
+    pub(crate) fn counter(self) -> &'static str {
         match self {
-            RefusalReason::Other => "other",
-            RefusalReason::Budget => "budget",
-            RefusalReason::Deadline => "deadline",
-            RefusalReason::Tracker => "tracker",
-            RefusalReason::Policy => "policy",
-            RefusalReason::Draining => "draining",
+            RefusalReason::Other => "serve.refused.other",
+            RefusalReason::Budget => "serve.refused.budget",
+            RefusalReason::Deadline => "serve.refused.deadline",
+            RefusalReason::Tracker => "serve.refused.tracker",
+            RefusalReason::Policy => "serve.refused.policy",
+            RefusalReason::Draining => "serve.refused.draining",
         }
+    }
+
+    /// The reason's short name: the counter-name suffix.
+    pub fn label(self) -> &'static str {
+        &self.counter()["serve.refused.".len()..]
     }
 }
 
@@ -169,6 +212,31 @@ impl Response {
     }
 }
 
+/// The one-line transcript form the smoke binaries print: values to six
+/// decimals, a refusal's label and message, and a record's length with
+/// its first eight bytes in hex.
+impl fmt::Display for Response {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Response::Exact(v) => write!(f, "exact {v:.6}"),
+            Response::Perturbed(v) => write!(f, "perturbed {v:.6}"),
+            Response::Interval(lo, hi) => write!(f, "interval [{lo:.6}, {hi:.6}]"),
+            Response::Refused { reason, message } => {
+                write!(f, "refused[{}] {message}", reason.label())
+            }
+            Response::Error(message) => write!(f, "error {message}"),
+            Response::Record(bytes) => {
+                write!(f, "record {} bytes ", bytes.len())?;
+                for b in bytes.iter().take(8) {
+                    write!(f, "{b:02x}")?;
+                }
+                f.write_str("..")
+            }
+            Response::Bye => f.write_str("bye"),
+        }
+    }
+}
+
 fn bad(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
@@ -183,12 +251,6 @@ fn read_u32(r: &mut impl Read) -> io::Result<u32> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b)?;
     Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 fn read_f64(r: &mut impl Read) -> io::Result<f64> {
@@ -207,119 +269,90 @@ fn read_bytes(r: &mut impl Read) -> io::Result<Vec<u8>> {
     Ok(buf)
 }
 
+fn utf8(bytes: Vec<u8>) -> io::Result<String> {
+    String::from_utf8(bytes).map_err(|_| bad("payload is not UTF-8".to_owned()))
+}
+
 fn read_string(r: &mut impl Read) -> io::Result<String> {
-    String::from_utf8(read_bytes(r)?).map_err(|_| bad("payload is not UTF-8".to_owned()))
+    utf8(read_bytes(r)?)
 }
 
 /// Serializes one request into a byte buffer.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    match req {
-        Request::Query { user, sql } => {
-            out.push(1);
-            out.extend_from_slice(&user.to_le_bytes());
-            out.extend_from_slice(&(sql.len() as u32).to_le_bytes());
-            out.extend_from_slice(sql.as_bytes());
-        }
-        Request::Bye { user } => {
-            out.push(2);
-            out.extend_from_slice(&user.to_le_bytes());
-            out.extend_from_slice(&0u32.to_le_bytes());
-        }
+    let mut word = [0u8; 8];
+    let (user, payload): (u64, &[u8]) = match req {
+        Request::Query { user, sql } => (*user, sql.as_bytes()),
         Request::PirFetch { user, index } => {
-            out.push(3);
-            out.extend_from_slice(&user.to_le_bytes());
-            out.extend_from_slice(&8u32.to_le_bytes());
-            out.extend_from_slice(&index.to_le_bytes());
+            word = index.to_le_bytes();
+            (*user, &word)
         }
         Request::Append { user, count } => {
-            out.push(4);
-            out.extend_from_slice(&user.to_le_bytes());
-            out.extend_from_slice(&4u32.to_le_bytes());
-            out.extend_from_slice(&count.to_le_bytes());
+            word[..4].copy_from_slice(&count.to_le_bytes());
+            (*user, &word[..4])
         }
-        Request::Seal { user } => {
-            out.push(5);
-            out.extend_from_slice(&user.to_le_bytes());
-            out.extend_from_slice(&0u32.to_le_bytes());
-        }
-        Request::Disguise { user } => {
-            out.push(6);
-            out.extend_from_slice(&user.to_le_bytes());
-            out.extend_from_slice(&0u32.to_le_bytes());
-        }
-        Request::Restore { user } => {
-            out.push(7);
-            out.extend_from_slice(&user.to_le_bytes());
-            out.extend_from_slice(&0u32.to_le_bytes());
-        }
-    }
+        Request::Bye { user }
+        | Request::Seal { user }
+        | Request::Disguise { user }
+        | Request::Restore { user } => (*user, &[]),
+    };
+    let mut out = Vec::with_capacity(REQUEST_HEADER + payload.len());
+    out.push(req.opcode());
+    out.extend_from_slice(&user.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
     out
 }
 
-/// Reads one complete request frame.
+/// Reads one complete request frame: the fixed header in one read, then
+/// exactly the payload its opcode allows.
 pub fn read_request(r: &mut impl Read) -> io::Result<Request> {
-    let opcode = read_u8(r)?;
-    let user = read_u64(r)?;
-    match opcode {
-        1 => Ok(Request::Query {
-            user,
-            sql: read_string(r)?,
-        }),
-        2 => {
-            let len = read_u32(r)?;
-            if len != 0 {
-                return Err(bad("BYE carries no payload".to_owned()));
-            }
-            Ok(Request::Bye { user })
-        }
-        3 => {
-            let len = read_u32(r)?;
-            if len != 8 {
-                return Err(bad(format!(
-                    "PIR_FETCH payload is exactly 8 bytes, got {len}"
-                )));
-            }
-            Ok(Request::PirFetch {
-                user,
-                index: read_u64(r)?,
-            })
-        }
-        4 => {
-            let len = read_u32(r)?;
-            if len != 4 {
-                return Err(bad(format!("APPEND payload is exactly 4 bytes, got {len}")));
-            }
-            let mut b = [0u8; 4];
-            r.read_exact(&mut b)?;
-            Ok(Request::Append {
-                user,
-                count: u32::from_le_bytes(b),
-            })
-        }
-        5 => {
-            let len = read_u32(r)?;
-            if len != 0 {
-                return Err(bad("SEAL carries no payload".to_owned()));
-            }
-            Ok(Request::Seal { user })
-        }
-        6 => {
-            let len = read_u32(r)?;
-            if len != 0 {
-                return Err(bad("DISGUISE carries no payload".to_owned()));
-            }
-            Ok(Request::Disguise { user })
-        }
-        7 => {
-            let len = read_u32(r)?;
-            if len != 0 {
-                return Err(bad("RESTORE carries no payload".to_owned()));
-            }
-            Ok(Request::Restore { user })
-        }
-        other => Err(bad(format!("unknown opcode {other}"))),
+    let mut header = [0u8; REQUEST_HEADER];
+    r.read_exact(&mut header)?;
+    let op = header[0];
+    let user = le_word(&header[1..9]);
+    let len = le_word(&header[9..]) as u32;
+    // One payload-length rule per opcode, checked before any payload
+    // byte is read.
+    let fits = match op {
+        opcode::QUERY => len <= MAX_PAYLOAD,
+        opcode::PIR_FETCH => len == 8,
+        opcode::APPEND => len == 4,
+        opcode::BYE | opcode::SEAL | opcode::DISGUISE | opcode::RESTORE => len == 0,
+        other => return Err(bad(format!("unknown opcode {other}"))),
+    };
+    if !fits {
+        return Err(bad(format!(
+            "opcode {op} cannot carry a {len}-byte payload"
+        )));
     }
+    let mut payload = vec![0u8; len as usize];
+    r.read_exact(&mut payload)?;
+    Ok(match op {
+        opcode::QUERY => Request::Query {
+            user,
+            sql: utf8(payload)?,
+        },
+        opcode::PIR_FETCH => Request::PirFetch {
+            user,
+            index: le_word(&payload),
+        },
+        opcode::APPEND => Request::Append {
+            user,
+            count: le_word(&payload) as u32,
+        },
+        opcode::BYE => Request::Bye { user },
+        opcode::SEAL => Request::Seal { user },
+        opcode::DISGUISE => Request::Disguise { user },
+        opcode::RESTORE => Request::Restore { user },
+        _ => unreachable!("opcode {op} passed the length rule"),
+    })
+}
+
+/// The little-endian unsigned integer in `bytes` (at most 8 of them).
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
 }
 
 /// Serializes one response into a byte buffer.
@@ -435,51 +468,42 @@ mod tests {
     }
 
     #[test]
-    fn pir_fetch_length_must_be_exactly_eight() {
-        let mut bytes = vec![3u8];
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&7u32.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 7]);
-        assert!(read_request(&mut io::Cursor::new(bytes)).is_err());
-    }
-
-    #[test]
-    fn append_and_seal_lengths_are_validated() {
-        // APPEND with a 3-byte payload is malformed.
-        let mut bytes = vec![4u8];
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&3u32.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 3]);
-        assert!(read_request(&mut io::Cursor::new(bytes)).is_err());
-        // SEAL with any payload is malformed.
-        let mut bytes = vec![5u8];
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.push(0);
-        assert!(read_request(&mut io::Cursor::new(bytes)).is_err());
-        // Every proper prefix of a well-formed APPEND fails to parse.
-        let frame = encode_request(&Request::Append { user: 9, count: 64 });
-        for cut in 0..frame.len() {
-            let mut cursor = io::Cursor::new(&frame[..cut]);
-            assert!(read_request(&mut cursor).is_err(), "prefix {cut} parsed");
-        }
-    }
-
-    #[test]
-    fn disguise_and_restore_lengths_are_validated() {
-        for opcode in [6u8, 7u8] {
-            // Any payload is malformed.
-            let mut bytes = vec![opcode];
-            bytes.extend_from_slice(&1u64.to_le_bytes());
-            bytes.extend_from_slice(&1u32.to_le_bytes());
-            bytes.push(0);
-            assert!(read_request(&mut io::Cursor::new(bytes)).is_err());
-        }
-        // Every proper prefix of a well-formed DISGUISE fails to parse.
-        let frame = encode_request(&Request::Disguise { user: 9 });
-        for cut in 0..frame.len() {
-            let mut cursor = io::Cursor::new(&frame[..cut]);
-            assert!(read_request(&mut cursor).is_err(), "prefix {cut} parsed");
+    fn every_opcode_enforces_its_payload_length_and_no_prefix_parses() {
+        let frames = [
+            encode_request(&Request::Query {
+                user: 9,
+                sql: "SELECT COUNT(*) FROM t".to_owned(),
+            }),
+            encode_request(&Request::Bye { user: 9 }),
+            encode_request(&Request::PirFetch { user: 9, index: 7 }),
+            encode_request(&Request::Append { user: 9, count: 64 }),
+            encode_request(&Request::Seal { user: 9 }),
+            encode_request(&Request::Disguise { user: 9 }),
+            encode_request(&Request::Restore { user: 9 }),
+        ];
+        for frame in &frames {
+            let op = frame[0];
+            assert!(read_request(&mut io::Cursor::new(frame)).is_ok(), "op {op}");
+            // Every proper prefix of a well-formed frame fails to parse.
+            for cut in 0..frame.len() {
+                let mut cursor = io::Cursor::new(&frame[..cut]);
+                assert!(read_request(&mut cursor).is_err(), "op {op} prefix {cut}");
+            }
+            // A length the opcode's rule forbids is rejected even when
+            // that many payload bytes follow.
+            let len = frame.len() - REQUEST_HEADER;
+            let wrong = match op {
+                opcode::QUERY => vec![MAX_PAYLOAD as usize + 1],
+                _ if len == 0 => vec![1],
+                _ => vec![len - 1, len + 1],
+            };
+            for bad_len in wrong {
+                let mut bytes = frame[..9].to_vec();
+                bytes.extend_from_slice(&(bad_len as u32).to_le_bytes());
+                bytes.resize(REQUEST_HEADER + bad_len, 0);
+                let parsed = read_request(&mut io::Cursor::new(bytes));
+                assert!(parsed.is_err(), "op {op} took a {bad_len}-byte payload");
+            }
         }
     }
 

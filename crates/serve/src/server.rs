@@ -27,9 +27,20 @@
 //! written whole; requests arriving after the flag flips are refused
 //! with [`RefusalReason::Draining`].
 //!
-//! Fault site: `serve.partial_response` severs the connection after
-//! writing half a response frame — the injection the shutdown tests use
-//! to prove clients can never mistake a cut write for an answer.
+//! **Request path.** Every request, whatever its opcode, takes one
+//! path: `read_request` → `handle` → `respond`. `handle` refuses
+//! everything but BYE once draining has begun, then does the opcode's
+//! own work (session answer, PIR batcher, append, seal, disguise or
+//! restore) and returns a [`Response`]. `respond` is the single
+//! epilogue: it bumps the opcode's request, answer and error counters
+//! from one static table (refusals as `serve.refused.<reason>`, a
+//! static name), encodes and writes the frame, and records
+//! `serve.request_ns` for every opcode but BYE.
+//!
+//! Fault site: `serve.partial_response`, drawn in `respond` for every
+//! opcode, writes a strict prefix of the response frame and severs the
+//! connection — the injection the tests use to prove clients can never
+//! mistake a cut write for an answer.
 //!
 //! **PIR.** The server also holds a seed-deterministic PIR record store;
 //! `PIR_FETCH` requests from any number of connections funnel through a
@@ -39,15 +50,16 @@
 
 use crate::batch::PirBatcher;
 use crate::protocol::{
-    encode_response, read_request, write_frame, RefusalReason, Request, Response,
+    encode_response, opcode, read_request, write_frame, RefusalReason, Request, Response,
 };
 use crate::session::{SessionConfig, UserSession};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
+use tdf_disguise::{DisguiseEngine, DisguiseOutcome};
 use tdf_microdata::synth::{patients, PatientConfig};
 use tdf_microdata::{SegmentedDataset, Value};
 use tdf_pir::store::Database;
@@ -172,7 +184,7 @@ struct Shared {
     /// The disguise ledger: per-user reversible disguise/restore
     /// transactions, WAL-backed. Single-writer by design — disguises are
     /// rare, whole-user mutations; queries never touch this lock.
-    disguise: Mutex<tdf_disguise::DisguiseEngine>,
+    disguise: Mutex<DisguiseEngine>,
     /// Set when the journal lives in a per-instance temp file the server
     /// owns (and removes on shutdown).
     disguise_wal_owned: Option<std::path::PathBuf>,
@@ -180,13 +192,17 @@ struct Shared {
     read_deadline_ms: u64,
 }
 
+/// Locks `m`, recovering the guard if an earlier holder panicked — the
+/// server's one poisoning policy, for every mutex it holds.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Shared {
     fn session_for(&self, user: u64) -> Arc<Mutex<UserSession>> {
         let mut state = user;
         let shard = (rngkit::splitmix64(&mut state) as usize) & (USER_SHARDS - 1);
-        let mut users = self.users[shard]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut users = lock(&self.users[shard]);
         Arc::clone(users.entry(user).or_insert_with(|| {
             obs::count("serve.sessions", 1);
             Arc::new(Mutex::new(UserSession::new(&self.session_cfg, user)))
@@ -230,11 +246,12 @@ impl Server {
         // table is segmented from the first query — and evaluation stays
         // bit-identical to the old monolithic path (the golden transcript
         // pins this).
-        let initial = patients(&PatientConfig {
+        let population = PatientConfig {
             n: cfg.rows,
             seed: cfg.seed,
             ..Default::default()
-        });
+        };
+        let initial = patients(&population);
         // The disguise ledger: the same synthetic population, owner-
         // labelled, with a WAL so disguises are atomic across crashes.
         // A configured journal path makes them survive restarts; the
@@ -252,15 +269,8 @@ impl Server {
                 (p.clone(), Some(p))
             }
         };
-        let ledger = tdf_disguise::owned_patients(
-            &PatientConfig {
-                n: cfg.rows,
-                seed: cfg.seed,
-                ..Default::default()
-            },
-            cfg.disguise_users.max(1),
-        );
-        let (disguise, _recovery) = tdf_disguise::DisguiseEngine::open(
+        let ledger = tdf_disguise::owned_patients(&population, cfg.disguise_users.max(1));
+        let (disguise, _recovery) = DisguiseEngine::open(
             &wal_path,
             ledger,
             tdf_disguise::DisguisePolicy::patients_default(),
@@ -342,11 +352,7 @@ impl Server {
         // Unblock workers parked in a read. Only the read half is severed:
         // a response currently being written still goes out whole.
         {
-            let conns = self
-                .shared
-                .conns
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let conns = lock(&self.shared.conns);
             for stream in conns.values() {
                 let _ = stream.shutdown(std::net::Shutdown::Read);
             }
@@ -378,23 +384,16 @@ fn compactor_loop(shared: &Shared) {
     let mut seen = 0u64;
     loop {
         {
-            let mut sealed = pending
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut sealed = lock(pending);
             while *sealed == seen && !shared.draining.load(Ordering::Acquire) {
-                sealed = cv
-                    .wait(sealed)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                sealed = cv.wait(sealed).unwrap_or_else(PoisonError::into_inner);
             }
             if shared.draining.load(Ordering::Acquire) {
                 return;
             }
             seen = *sealed;
         }
-        let mut data = shared
-            .data
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut data = shared.data.write().unwrap_or_else(PoisonError::into_inner);
         match data.compact(shared.compact_min) {
             Ok(report) if report.merged_any() => {
                 obs::count("serve.compactions", report.runs.len() as u64);
@@ -415,10 +414,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             // admitted past this point.
             return;
         }
-        let mut queue = shared
-            .queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut queue = lock(&shared.queue);
         queue.push_back(stream);
         obs::gauge_max("serve.queue_depth", queue.len() as u64);
         drop(queue);
@@ -429,10 +425,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
 fn worker_loop(shared: &Shared) {
     loop {
         let stream = {
-            let mut queue = shared
-                .queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut queue = lock(&shared.queue);
             loop {
                 if let Some(stream) = queue.pop_front() {
                     break stream;
@@ -443,7 +436,7 @@ fn worker_loop(shared: &Shared) {
                 queue = shared
                     .queue_cv
                     .wait(queue)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         obs::count("serve.connections", 1);
@@ -461,20 +454,12 @@ fn worker_loop(shared: &Shared) {
                 let _ =
                     stream.set_read_timeout(Some(Duration::from_millis(shared.read_deadline_ms)));
             }
-            shared
-                .conns
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .insert(conn_id, clone);
+            lock(&shared.conns).insert(conn_id, clone);
         }
         // Connection errors (disconnects, malformed frames, injected
         // severs) end that connection only; the worker lives on.
         let _ = serve_connection(stream, shared);
-        shared
-            .conns
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&conn_id);
+        lock(&shared.conns).remove(&conn_id);
     }
 }
 
@@ -505,211 +490,163 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
             }
         };
         let started = Instant::now();
-        match request {
-            Request::Bye { .. } => {
-                write_frame(&mut stream, &encode_response(&Response::Bye))?;
-                return Ok(());
-            }
-            Request::Query { user, sql } => {
-                obs::count("serve.requests", 1);
-                let response = if shared.draining.load(Ordering::Acquire) {
-                    Response::Refused {
-                        reason: RefusalReason::Draining,
-                        message: "server is draining for shutdown".to_owned(),
-                    }
-                } else {
-                    let session = shared.session_for(user);
-                    let mut session = session
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let data = shared
-                        .data
-                        .read()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    session.answer_segmented(&data, &sql)
-                };
-                match &response {
-                    Response::Refused { reason, .. } => {
-                        obs::count(&format!("serve.refused.{}", reason.label()), 1);
-                    }
-                    Response::Error(_) => obs::count("serve.parse_errors", 1),
-                    _ => obs::count("serve.answers", 1),
-                }
-                let frame = encode_response(&response);
-                if faultkit::fire("serve.partial_response") {
-                    // Injected fault: the server dies mid-write. Send a
-                    // strict prefix of the frame and sever the socket —
-                    // the framing guarantees the client sees an I/O
-                    // error, never a shorter answer that still parses.
-                    obs::count("serve.faults.partial_response", 1);
-                    let cut = (frame.len() / 2).max(1);
-                    let _ = write_frame(&mut stream, &frame[..cut]);
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                    return Ok(());
-                }
-                write_frame(&mut stream, &frame)?;
-                obs::observe("serve.request_ns", started.elapsed().as_nanos() as u64);
-            }
-            Request::PirFetch { user: _, index } => {
-                obs::count("serve.pir.requests", 1);
-                // PIR admission charges no ε: the user-privacy dimension
-                // protects *which* record is read, not an aggregate. The
-                // batcher coalesces concurrent fetches into fused sweeps.
-                let response = if shared.draining.load(Ordering::Acquire) {
-                    Response::Refused {
-                        reason: RefusalReason::Draining,
-                        message: "server is draining for shutdown".to_owned(),
-                    }
-                } else if index >= shared.pir.len() as u64 {
-                    Response::Error(format!(
-                        "record index {index} out of range: PIR store has {} records",
-                        shared.pir.len()
-                    ))
-                } else {
-                    Response::Record(shared.batcher.fetch(&shared.pir, index as usize))
-                };
-                match &response {
-                    Response::Refused { reason, .. } => {
-                        obs::count(&format!("serve.refused.{}", reason.label()), 1);
-                    }
-                    Response::Error(_) => obs::count("serve.pir.range_errors", 1),
-                    _ => obs::count("serve.pir.answers", 1),
-                }
-                write_frame(&mut stream, &encode_response(&response))?;
-                obs::observe("serve.request_ns", started.elapsed().as_nanos() as u64);
-            }
-            Request::Append { user: _, count } => {
-                obs::count("serve.requests", 1);
-                let response = if shared.draining.load(Ordering::Acquire) {
-                    Response::Refused {
-                        reason: RefusalReason::Draining,
-                        message: "server is draining for shutdown".to_owned(),
-                    }
-                } else if count > MAX_APPEND {
-                    Response::Error(format!(
-                        "append of {count} rows exceeds the per-request cap of {MAX_APPEND}"
-                    ))
-                } else {
-                    let mut data = shared
-                        .data
-                        .write()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let start = data.num_rows() as u64;
-                    let appended = (0..u64::from(count))
-                        .try_for_each(|i| data.push_row(synth_row(shared.seed, start + i)));
-                    match appended {
-                        Ok(()) => {
-                            obs::count("serve.appends", 1);
-                            obs::count("serve.append_rows", u64::from(count));
-                            Response::Exact(data.num_rows() as f64)
-                        }
-                        Err(e) => Response::Error(format!("append failed: {e}")),
-                    }
-                };
-                match &response {
-                    Response::Refused { reason, .. } => {
-                        obs::count(&format!("serve.refused.{}", reason.label()), 1);
-                    }
-                    Response::Error(_) => obs::count("serve.append_errors", 1),
-                    _ => obs::count("serve.answers", 1),
-                }
-                write_frame(&mut stream, &encode_response(&response))?;
-                obs::observe("serve.request_ns", started.elapsed().as_nanos() as u64);
-            }
-            Request::Seal { user: _ } => {
-                obs::count("serve.requests", 1);
-                let response = if shared.draining.load(Ordering::Acquire) {
-                    Response::Refused {
-                        reason: RefusalReason::Draining,
-                        message: "server is draining for shutdown".to_owned(),
-                    }
-                } else {
-                    let mut data = shared
-                        .data
-                        .write()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    // Sealing an empty tail is a no-op, not an error: the
-                    // answer is the sealed-segment count either way.
-                    data.seal();
-                    obs::count("serve.seals", 1);
-                    let segments = data.num_segments() as f64;
-                    drop(data);
-                    if shared.compact_min > 0 {
-                        let (pending, cv) = &shared.compact_signal;
-                        *pending
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
-                        cv.notify_one();
-                    }
-                    Response::Exact(segments)
-                };
-                match &response {
-                    Response::Refused { reason, .. } => {
-                        obs::count(&format!("serve.refused.{}", reason.label()), 1);
-                    }
-                    _ => obs::count("serve.answers", 1),
-                }
-                write_frame(&mut stream, &encode_response(&response))?;
-                obs::observe("serve.request_ns", started.elapsed().as_nanos() as u64);
-            }
-            Request::Disguise { user } | Request::Restore { user } => {
-                let is_disguise = matches!(request, Request::Disguise { .. });
-                obs::count("serve.requests", 1);
-                let response = if shared.draining.load(Ordering::Acquire) {
-                    Response::Refused {
-                        reason: RefusalReason::Draining,
-                        message: "server is draining for shutdown".to_owned(),
-                    }
-                } else {
-                    let mut engine = shared
-                        .disguise
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let result = if is_disguise {
-                        engine.disguise(user)
-                    } else {
-                        engine.restore(user)
-                    };
-                    match result {
-                        // The answer is the number of rows re-owned or
-                        // returned — the client's receipt.
-                        Ok(outcome) => Response::Exact(outcome.rows as f64),
-                        // Wrong-state requests are policy refusals, typed
-                        // on the wire like any other admission refusal.
-                        Err(
-                            e @ (tdf_disguise::Error::AlreadyDisguised(_)
-                            | tdf_disguise::Error::NotDisguised(_)
-                            | tdf_disguise::Error::NoRows(_)),
-                        ) => Response::Refused {
-                            reason: RefusalReason::Policy,
-                            message: e.to_string(),
-                        },
-                        // Crash-stop (exhausted fault budget) and journal
-                        // failures are server-side errors; the engine
-                        // refuses further transactions until recovery.
-                        Err(e) => Response::Error(format!("disguise engine: {e}")),
-                    }
-                };
-                match &response {
-                    Response::Refused { reason, .. } => {
-                        obs::count(&format!("serve.refused.{}", reason.label()), 1);
-                    }
-                    Response::Error(_) => obs::count("serve.disguise_errors", 1),
-                    _ => {
-                        obs::count(
-                            if is_disguise {
-                                "serve.disguises"
-                            } else {
-                                "serve.restores"
-                            },
-                            1,
-                        );
-                        obs::count("serve.answers", 1);
-                    }
-                }
-                write_frame(&mut stream, &encode_response(&response))?;
-                obs::observe("serve.request_ns", started.elapsed().as_nanos() as u64);
-            }
+        let response = handle(shared, &request);
+        respond(&mut stream, request.opcode(), &response, started)?;
+        if response == Response::Bye {
+            return Ok(());
         }
     }
+}
+
+/// The per-opcode work: one admitted request in, its response out.
+/// Everything common to every opcode — counters, encoding, the fault
+/// site, the write and the latency — is [`respond`]'s.
+fn handle(shared: &Shared, request: &Request) -> Response {
+    if request.opcode() != opcode::BYE && shared.draining.load(Ordering::Acquire) {
+        return Response::Refused {
+            reason: RefusalReason::Draining,
+            message: "server is draining for shutdown".to_owned(),
+        };
+    }
+    match request {
+        Request::Bye { .. } => Response::Bye,
+        Request::Query { user, sql } => {
+            let session = shared.session_for(*user);
+            let mut session = lock(&session);
+            let data = shared.data.read().unwrap_or_else(PoisonError::into_inner);
+            session.answer_segmented(&data, sql)
+        }
+        // PIR admission charges no ε: the user-privacy dimension protects
+        // *which* record is read, not an aggregate. The batcher coalesces
+        // concurrent fetches into fused sweeps.
+        Request::PirFetch { index, .. } => {
+            if *index >= shared.pir.len() as u64 {
+                return Response::Error(format!(
+                    "record index {index} out of range: PIR store has {} records",
+                    shared.pir.len()
+                ));
+            }
+            Response::Record(shared.batcher.fetch(&shared.pir, *index as usize))
+        }
+        Request::Append { count, .. } => {
+            if *count > MAX_APPEND {
+                return Response::Error(format!(
+                    "append of {count} rows exceeds the per-request cap of {MAX_APPEND}"
+                ));
+            }
+            let mut data = shared.data.write().unwrap_or_else(PoisonError::into_inner);
+            let start = data.num_rows() as u64;
+            let appended = (0..u64::from(*count))
+                .try_for_each(|i| data.push_row(synth_row(shared.seed, start + i)));
+            match appended {
+                Ok(()) => {
+                    obs::count("serve.appends", 1);
+                    obs::count("serve.append_rows", u64::from(*count));
+                    Response::Exact(data.num_rows() as f64)
+                }
+                Err(e) => Response::Error(format!("append failed: {e}")),
+            }
+        }
+        Request::Seal { .. } => {
+            let mut data = shared.data.write().unwrap_or_else(PoisonError::into_inner);
+            // Sealing an empty tail is a no-op, not an error: the answer
+            // is the sealed-segment count either way.
+            data.seal();
+            obs::count("serve.seals", 1);
+            let segments = data.num_segments() as f64;
+            drop(data);
+            if shared.compact_min > 0 {
+                let (pending, cv) = &shared.compact_signal;
+                *lock(pending) += 1;
+                cv.notify_one();
+            }
+            Response::Exact(segments)
+        }
+        Request::Disguise { user } => ledger_txn(shared, |engine| engine.disguise(*user)),
+        Request::Restore { user } => ledger_txn(shared, |engine| engine.restore(*user)),
+    }
+}
+
+/// One DISGUISE or RESTORE transaction on the ledger, as its response.
+fn ledger_txn(
+    shared: &Shared,
+    txn: impl FnOnce(&mut DisguiseEngine) -> tdf_disguise::Result<DisguiseOutcome>,
+) -> Response {
+    let mut engine = lock(&shared.disguise);
+    match txn(&mut engine) {
+        // The answer is the number of rows re-owned or returned — the
+        // client's receipt.
+        Ok(outcome) => Response::Exact(outcome.rows as f64),
+        // Wrong-state requests are policy refusals, typed on the wire
+        // like any other admission refusal.
+        Err(
+            e @ (tdf_disguise::Error::AlreadyDisguised(_)
+            | tdf_disguise::Error::NotDisguised(_)
+            | tdf_disguise::Error::NoRows(_)),
+        ) => Response::Refused {
+            reason: RefusalReason::Policy,
+            message: e.to_string(),
+        },
+        // Crash-stop (exhausted fault budget) and journal failures are
+        // server-side errors; the engine refuses further transactions
+        // until recovery.
+        Err(e) => Response::Error(format!("disguise engine: {e}")),
+    }
+}
+
+/// The counters [`respond`] bumps per opcode, indexed by wire opcode
+/// (slot 0 is unused): `(request, answers, error)` — the request counter,
+/// the counters of an answer (a response neither refused nor an error)
+/// and the error counter. BYE counts nothing and is the one untimed
+/// opcode; SEAL never errs.
+#[rustfmt::skip]
+#[allow(clippy::type_complexity)]
+const ACCOUNTING: [(Option<&str>, &[&str], Option<&str>); 8] = {
+    const REQ: Option<&str> = Some("serve.requests");
+    const ANS: &[&str] = &["serve.answers"];
+    [
+        /* (none) */    (None, &[], None),
+        /* QUERY */     (REQ, ANS, Some("serve.parse_errors")),
+        /* BYE */       (None, &[], None),
+        /* PIR_FETCH */ (Some("serve.pir.requests"), &["serve.pir.answers"], Some("serve.pir.range_errors")),
+        /* APPEND */    (REQ, ANS, Some("serve.append_errors")),
+        /* SEAL */      (REQ, ANS, None),
+        /* DISGUISE */  (REQ, &["serve.disguises", "serve.answers"], Some("serve.disguise_errors")),
+        /* RESTORE */   (REQ, &["serve.restores", "serve.answers"], Some("serve.disguise_errors")),
+    ]
+};
+
+/// The one response epilogue: counts the outcome, encodes the frame,
+/// honours the `serve.partial_response` fault site, writes, and records
+/// the latency.
+fn respond(
+    stream: &mut TcpStream,
+    op: u8,
+    response: &Response,
+    started: Instant,
+) -> io::Result<()> {
+    let (request, answers, error) = ACCOUNTING[usize::from(op)];
+    if let Some(name) = request {
+        obs::count(name, 1);
+    }
+    match response {
+        Response::Refused { reason, .. } => obs::count(reason.counter(), 1),
+        Response::Error(_) => error.iter().for_each(|name| obs::count(name, 1)),
+        _ => answers.iter().for_each(|name| obs::count(name, 1)),
+    }
+    let frame = encode_response(response);
+    if faultkit::fire("serve.partial_response") {
+        // Injected fault: the server dies mid-write. Send a strict prefix
+        // of the frame and sever the socket — the framing guarantees the
+        // client sees an I/O error, never a shorter answer that parses.
+        obs::count("serve.faults.partial_response", 1);
+        let _ = write_frame(stream, &frame[..frame.len() / 2]);
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+        return Err(io::ErrorKind::ConnectionAborted.into());
+    }
+    write_frame(stream, &frame)?;
+    if request.is_some() {
+        obs::observe("serve.request_ns", started.elapsed().as_nanos() as u64);
+    }
+    Ok(())
 }

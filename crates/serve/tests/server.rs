@@ -1,11 +1,9 @@
 //! End-to-end server tests over real sockets: concurrent budget
-//! determinism, draining shutdown, and injected mid-response faults.
+//! determinism, draining shutdown, ingest, PIR and disguise round trips.
+//! None of them reads or installs process-global state (the obs registry,
+//! the fault plan); those tests live in `observed.rs`.
 
-use std::sync::Mutex;
 use tdf_serve::{Client, LoadConfig, RefusalReason, Response, Server, ServerConfig, SessionConfig};
-
-/// Serialises the tests that install a process-global fault plan.
-static PLAN: Mutex<()> = Mutex::new(());
 
 fn server(workers: usize, budget: f64) -> Server {
     Server::start(ServerConfig {
@@ -124,30 +122,6 @@ fn bye_is_acknowledged_and_shutdown_does_not_hang_on_idle_connections() {
 }
 
 #[test]
-fn injected_partial_response_is_a_client_error_never_a_partial_answer() {
-    let _guard = PLAN.lock().unwrap_or_else(|e| e.into_inner());
-    let server = server(2, 10.0);
-    faultkit::set_plan(Some(
-        faultkit::FaultPlan::parse("serve.partial_response=1").unwrap(),
-    ));
-    let mut victim = Client::connect(server.addr()).expect("connect");
-    // The server computes the answer, writes half the frame and severs
-    // the socket. The framing makes that an I/O error at the client —
-    // under no interleaving can it surface as a (different) answer.
-    let outcome = victim.query(3, SQL);
-    assert!(outcome.is_err(), "got {outcome:?}");
-    faultkit::set_plan(None);
-    // The worker survives the severed connection and keeps serving.
-    let mut next = Client::connect(server.addr()).expect("connect");
-    assert!(matches!(
-        next.query(4, SQL).unwrap(),
-        Response::Perturbed(_)
-    ));
-    let _ = next.bye(4);
-    server.shutdown();
-}
-
-#[test]
 fn pir_fetch_round_trips_the_exact_record() {
     let server = server(2, 10.0);
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -186,104 +160,6 @@ fn pir_fetch_out_of_range_is_a_typed_error() {
         Response::Record(_)
     ));
     let _ = client.bye(9);
-    server.shutdown();
-}
-
-#[test]
-fn concurrent_pir_fetches_coalesce_into_fused_sweeps() {
-    let before = obs::level();
-    obs::set_level(1);
-    obs::reset();
-    let server = Server::start(ServerConfig {
-        rows: 50,
-        seed: 0xBEEF,
-        workers: 16,
-        session: SessionConfig {
-            epsilon_per_query: 1.0,
-            budget: 10.0,
-            seed: 0xBEEF,
-            min_query_set: 2,
-            max_overlap: usize::MAX,
-            max_rows: 0,
-        },
-        // A wide admission window so simultaneous fetches land in one
-        // leader's batch even on a loaded CI machine.
-        pir_batch_window_ms: 150,
-        ..ServerConfig::default()
-    })
-    .expect("server starts");
-    let addr = server.addr();
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(8));
-    let handles: Vec<_> = (0..8u64)
-        .map(|t| {
-            let barrier = std::sync::Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                barrier.wait();
-                let index = t * 300;
-                let response = client.pir_fetch(t, index).expect("round trip");
-                let _ = client.bye(t);
-                (index, response)
-            })
-        })
-        .collect();
-    for h in handles {
-        let (index, response) = h.join().expect("fetch thread");
-        match response {
-            Response::Record(bytes) => {
-                assert_eq!(bytes, tdf_serve::pir_record(0xBEEF, 32, index as usize));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-    server.shutdown();
-    let snap = obs::snapshot();
-    let widest = snap.gauge("serve.pir.batch_max");
-    let answers = snap.counter("serve.pir.answers");
-    obs::set_level(before);
-    assert_eq!(answers, 8);
-    assert!(
-        widest >= 2,
-        "8 simultaneous fetches through a 150 ms window must coalesce, \
-         widest batch was {widest}"
-    );
-}
-
-#[test]
-fn dropped_batch_still_answers_every_fetch_correctly() {
-    let _guard = PLAN.lock().unwrap_or_else(|e| e.into_inner());
-    let server = server(4, 10.0);
-    let addr = server.addr();
-    faultkit::set_plan(Some(
-        faultkit::FaultPlan::parse("pir.batch_drop=1").unwrap(),
-    ));
-    // The first sweep is dropped by the fault plan; the batcher degrades
-    // to per-query retries and every client still gets the right bytes.
-    let handles: Vec<_> = (0..4u64)
-        .map(|t| {
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                let index = t * 1000;
-                let response = client.pir_fetch(t, index).expect("round trip");
-                let _ = client.bye(t);
-                (index, response)
-            })
-        })
-        .collect();
-    for h in handles {
-        let (index, response) = h.join().expect("fetch thread");
-        match response {
-            Response::Record(bytes) => {
-                assert_eq!(
-                    bytes,
-                    tdf_serve::pir_record(0xBEEF, 32, index as usize),
-                    "index {index}"
-                );
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-    faultkit::set_plan(None);
     server.shutdown();
 }
 
@@ -452,62 +328,6 @@ fn disguise_state_survives_a_server_restart_through_the_wal() {
     let _ = client.bye(3);
     server.shutdown();
     let _ = std::fs::remove_file(&wal);
-}
-
-#[test]
-fn slow_clients_are_evicted_at_the_read_deadline() {
-    let _guard = PLAN.lock().unwrap_or_else(|e| e.into_inner());
-    let before_level = obs::level();
-    obs::set_level(1);
-    obs::reset();
-    let server = Server::start(ServerConfig {
-        rows: 300,
-        seed: 0xBEEF,
-        workers: 2,
-        read_deadline_ms: 60,
-        session: SessionConfig {
-            epsilon_per_query: 1.0,
-            budget: 100.0,
-            seed: 0xBEEF,
-            min_query_set: 2,
-            max_overlap: usize::MAX,
-            max_rows: 0,
-        },
-        ..ServerConfig::default()
-    })
-    .expect("server starts");
-    let mut idler = Client::connect(server.addr()).expect("connect");
-    assert!(matches!(
-        idler.query(1, SQL).unwrap(),
-        Response::Perturbed(_)
-    ));
-    // Stop sending. The worker's read deadline fires and reclaims the
-    // connection; the idler's next round trip fails cleanly.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        if idler.query(1, SQL).is_err() {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "slow client was never evicted"
-        );
-    }
-    // An actively-sending client on the same server is unaffected.
-    let mut active = Client::connect(server.addr()).expect("connect");
-    assert!(matches!(
-        active.query(2, SQL).unwrap(),
-        Response::Perturbed(_)
-    ));
-    let _ = active.bye(2);
-    server.shutdown();
-    let snap = obs::snapshot();
-    obs::set_level(before_level);
-    assert!(
-        snap.counter("serve.slow_evictions") >= 1,
-        "eviction must be observable"
-    );
 }
 
 #[test]

@@ -13,6 +13,7 @@
 //! [`TranscriptError`] naming the message, instead of silently skewing
 //! the protocol result.
 
+use rngkit::{fnv1a, fnv1a_extend};
 use std::fmt;
 
 /// Identifier of a protocol participant. The dealer / commodity server is
@@ -57,20 +58,12 @@ impl std::error::Error for TranscriptError {}
 
 /// FNV-1a over a message's routing header and payload words.
 fn message_checksum(m: &Message) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    eat(&(m.from as u64).to_le_bytes());
-    eat(&(m.to as u64).to_le_bytes());
-    eat(m.tag.as_bytes());
-    for w in &m.payload {
-        eat(&w.to_le_bytes());
-    }
-    h
+    let h = fnv1a(&(m.from as u64).to_le_bytes());
+    let h = fnv1a_extend(h, &(m.to as u64).to_le_bytes());
+    let h = fnv1a_extend(h, m.tag.as_bytes());
+    m.payload
+        .iter()
+        .fold(h, |h, w| fnv1a_extend(h, &w.to_le_bytes()))
 }
 
 /// An append-only record of a protocol execution.
@@ -131,14 +124,9 @@ impl Transcript {
     /// deterministic protocol produce equal digests iff they exchanged
     /// identical messages.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for &c in &self.checksums {
-            for &b in &c.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-        h
+        self.checksums
+            .iter()
+            .fold(fnv1a(&[]), |h, c| fnv1a_extend(h, &c.to_le_bytes()))
     }
 
     /// All messages, in order.

@@ -164,8 +164,10 @@ fn par_crate_is_registered_and_its_dependencies_are_frozen() {
 fn faultkit_crate_is_registered_and_its_dependencies_are_frozen() {
     // The fault-injection substrate sits below every kernel crate, so a
     // dependency added here spreads workspace-wide. Its runtime set is
-    // frozen at exactly the observability crate (injected faults are
-    // counted); parsing, hashing and the plan registry are std-only.
+    // frozen at the observability crate (injected faults are counted)
+    // and the dependency-free RNG kit (the one FNV-1a and splitmix64
+    // definition the decision streams are keyed by); parsing and the
+    // plan registry are std-only.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let table = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
     assert!(
@@ -174,8 +176,8 @@ fn faultkit_crate_is_registered_and_its_dependencies_are_frozen() {
     );
     assert_eq!(
         runtime_deps(&root.join("crates/faultkit/Cargo.toml")),
-        ["tdf-obs"],
-        "crates/faultkit must depend only on the in-tree observability crate"
+        ["tdf-obs", "tdf-rngkit"],
+        "crates/faultkit must depend only on the in-tree observability and RNG crates"
     );
 }
 
